@@ -12,7 +12,8 @@ replaced (and which remains in-tree for differential testing):
   single-CPU hosts the pool fallback keeps the ratio >= 0.98); its
   instructions/sec trajectory -- plus the persistent-pool decision and
   host cpu_count, so trajectories are comparable across hosts -- is
-  written to ``BENCH_sharded.json``.
+  written to ``BENCH_sharded.json``, together with a per-stage split of
+  one pooled ``run_sharded`` call that must add up to its wall time.
 * the opcode simulation kernel behind ``EventDrivenSimulator`` is >= 3x
   the reference simulator on a ring oscillator and on a RAPPID-style
   32-byte-unit netlist; its transitions/sec trajectory is written to
@@ -39,6 +40,7 @@ shrinks the workloads and skips the timing assertions -- parity is still
 checked, making the quick mode a functional smoke test.
 """
 
+import contextlib
 import gc
 import json
 import os
@@ -244,6 +246,88 @@ def test_bench_engine_simulator_kernel_speedup():
         )
 
 
+# Stages of one pooled run_sharded call, as (stage, module, function):
+# every parent-side step of the protocol is one module-level function,
+# so wrapping those attributes times the call with no timing code in the
+# engine.  Worker-side functions are left alone (they are pickled by
+# reference into the pool).
+SHARDED_STAGES = (
+    ("to_arrays", "repro.engine.rappid_batch", "_prepare"),
+    ("payload", "repro.engine.rappid_batch", "_shard_payload"),
+    ("payload", "repro.engine.rappid_batch", "_publish_shard_set"),
+    ("payload", "repro.engine.pool", "release_payload"),
+    ("worker_wait", "repro.engine.resilience", "supervised_map"),
+    ("stitch", "repro.engine.rappid_batch", "_stitch"),
+    ("steer", "repro.engine.rappid_batch", "_steer"),
+    ("finalize", "repro.engine.rappid_batch", "_finalize"),
+)
+#: The stages must account for the call's wall time within this share.
+STAGE_COVERAGE_TOLERANCE = 0.05
+
+
+@contextlib.contextmanager
+def _timed_stages(totals):
+    """Wrap each stage function, accumulating its seconds into ``totals``."""
+    import importlib
+
+    saved = []
+    for stage, module_name, name in SHARDED_STAGES:
+        module = importlib.import_module(module_name)
+        original = getattr(module, name)
+        totals.setdefault(stage, 0.0)
+
+        def timed(*args, _original=original, _stage=stage, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                totals[_stage] += time.perf_counter() - start
+
+        saved.append((module, name, original))
+        setattr(module, name, timed)
+    try:
+        yield totals
+    finally:
+        for module, name, original in reversed(saved):
+            setattr(module, name, original)
+
+
+def _sharded_stage_split(decoder, instructions, lines, shards):
+    """(stages, wall, gap) of the pooled call whose stages best cover its
+    wall time; ``gap`` is the uncovered share.
+
+    Each attempt times one forced-pool ``run_sharded`` call with GC
+    paused, so a collection cannot land between stages.
+    """
+    best = None
+    for _attempt in range(ATTEMPTS):
+        totals = {}
+        gc.collect()
+        gc.disable()
+        try:
+            with _timed_stages(totals):
+                start = time.perf_counter()
+                result = decoder.run_sharded(
+                    instructions,
+                    lines,
+                    shards=shards,
+                    min_shard_instructions=64,
+                    use_processes=True,
+                )
+                wall = time.perf_counter() - start
+            # Freed after the clock stops: the call's wall time excludes
+            # the caller dropping its ~2M result floats.
+            del result
+        finally:
+            gc.enable()
+        gap = abs(sum(totals.values()) - wall) / wall
+        if best is None or gap < best[2]:
+            best = (totals, wall, gap)
+        if gap <= STAGE_COVERAGE_TOLERANCE:
+            break
+    return best
+
+
 def test_bench_engine_sharded_exact_and_summary():
     """run_sharded vs run: bit-identity at scale plus a perf trajectory.
 
@@ -316,6 +400,9 @@ def test_bench_engine_sharded_exact_and_summary():
             if speedup >= target:
                 break
         decision = dict(engine_pool.LAST_DECISION)
+        stages, stage_wall, stage_gap = _sharded_stage_split(
+            decoder, instructions, lines, shards
+        )
         summary["streams"][label] = {
             "instructions": count,
             "lines": len(lines),
@@ -326,12 +413,22 @@ def test_bench_engine_sharded_exact_and_summary():
                 "use_pool": bool(decision.get("use_pool")),
                 "reason": decision.get("reason"),
             },
+            "stages": {stage: round(seconds, 5) for stage, seconds in stages.items()},
+            "stage_wall_s": round(stage_wall, 5),
         }
+        # Quick mode's millisecond calls are dominated by fixed dispatch
+        # overhead; like every timing assert, coverage is checked in full mode.
+        assert QUICK or stage_gap <= STAGE_COVERAGE_TOLERANCE, (
+            f"{label}: stages {stages} sum to {sum(stages.values()):.4f} s, "
+            f"wall {stage_wall:.4f} s"
+        )
         speedup_on_largest = speedup
         print(
             f"\n[bench-engine] sharded {label}: run {run_time * 1e3:.2f} ms, "
             f"sharded({shards}) {sharded_time * 1e3:.2f} ms -> {speedup:.2f}x "
-            f"[{decision.get('reason')}]"
+            f"[{decision.get('reason')}]; stages "
+            + ", ".join(f"{k} {v * 1e3:.1f}" for k, v in stages.items())
+            + f" ms of {stage_wall * 1e3:.1f} ms"
         )
 
     out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_sharded.json")

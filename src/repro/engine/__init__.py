@@ -71,14 +71,16 @@ When delegation kicks in
 * ``RappidDecoder.run`` delegates to
   :func:`~repro.engine.rappid_batch.run_batched`, which performs the same
   floating-point operations in the same order as the retained
-  ``RappidDecoder._reference_run`` (bit-identical results) after
-  collapsing the latency models into lookup tables and the instruction
-  stream into flat arrays.  ``run_batched`` accepts an explicit
+  ``RappidDecoder._reference_run`` (bit-identical results) on the
+  buffers of an :class:`~repro.rappid.workload.InstructionStream`, with
+  every per-instruction latency precomputed by vectorised table lookups.
+  ``run_batched`` accepts an explicit
   :class:`~repro.engine.rappid_batch.ShardState` carry so evaluation can
   start from any seam and report its carry-out; ``run_sharded`` builds on
-  that to evaluate very large workloads across worker processes (compact
-  flat-array IPC, parallel cold-seam solves, exact warm seam fix-up) with
-  results **bit-identical** to ``run``.
+  that to evaluate very large workloads across worker processes (shards
+  are slices of the stream, published once through shared memory;
+  parallel cold-seam solves, exact warm seam fix-up) with results
+  **bit-identical** to ``run``.
 
 Resilient dispatch (``engine.resilience`` + ``engine.chaos``)
 -------------------------------------------------------------

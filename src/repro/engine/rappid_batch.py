@@ -3,18 +3,24 @@
 :func:`run_batched` computes exactly what the reference per-instruction
 loop in :mod:`repro.rappid.microarch` computes -- the same floating point
 operations in the same order for every per-instruction time, so those
-results are bit-identical -- while stripping the interpreter overhead:
+results are bit-identical -- while stripping the interpreter overhead.
 
-* the three latency models (:func:`~repro.rappid.isa.decode_latency_ps`,
-  ``tag_latency_ps``, ``steering_latency_ps``) collapse into lookup
-  tables built once per call;
-* instruction attributes are decoded into flat arrays by C-level
-  ``map`` passes instead of per-iteration dataclass attribute chains;
-* the per-column (cache-line) arrival recursion is flattened into dict
-  lookups with a recursive slow path only for lines in which no
-  instruction starts;
-* interval/latency reductions run vectorised (numpy, exact float64 ops)
-  when numpy is importable, with pure-Python fallbacks.
+One stream, precomputed latencies
+---------------------------------
+Every entry point works on the structure-of-arrays
+:class:`~repro.rappid.workload.InstructionStream` (plain instruction
+lists are converted once by ``InstructionStream.from_instructions``).
+:func:`_prepare` turns its buffers into per-instruction arrays with one
+vectorised table lookup per latency model: first and last cache line,
+length-decode latency (indexed by length and class code), the tag hop
+into each instruction (the tag latency of its predecessor's length) and
+the steering latency.  The per-instruction recurrence
+(:func:`_hot_loop`, or :func:`_general_loop` when an instruction can
+span ``prefetch_depth`` line boundaries) then only adds and compares
+floats; line arrivals are dict lookups, with the reference's arrival
+recursion unrolled in :func:`_arrival_of` for lines no instruction
+starts in.  Steering (a max-plus scan per output row) and the interval
+reductions run vectorised in numpy with the same IEEE float64 ops.
 
 ``energy_pj`` alone is accumulated as one closed-form sum instead of four
 adds per instruction, so it may differ from the reference in the last
@@ -32,40 +38,38 @@ run: per-instruction times concatenate bit-identically.
 
 Exact sharded evaluation (:func:`run_sharded`)
 ----------------------------------------------
-``run_sharded`` splits a large stream at cache-line boundaries, ships
-each shard to worker processes as compact flat arrays (``array`` of
-lengths, class codes and line indices -- never pickled ``Instruction``
-dataclasses), and has every worker solve its shard from a *cold* seam in
-parallel.  On the pool path, large calls publish the whole set of shard
-arrays **once** through the shared-memory payload machinery of
-:mod:`repro.engine.pool` (:func:`~repro.engine.pool.publish_payload`):
-each worker call ships only a tiny ``(handle, shard index)`` pair, the
-worker attaches/unpickles the shard set once per call token
-(:func:`_cold_shard_payload` caches the decoded set), and the parent
-unlinks the segment when every shard has returned -- large streams stop
-pushing their flat buffers through the executor pipe per shard.  Calls
-whose arrays sit below the shared-memory threshold, or any call when
-``/dev/shm`` is unavailable, dispatch each shard's own arrays directly
-in its worker call instead (shipping the full set inline per call would
-multiply the IPC volume); the transport taken is recorded as
+``run_sharded`` cuts a large stream at cache-line boundaries.  A shard
+is a slice of the stream's buffers, ``(config, stream[start:stop],
+base_line)``, and every worker solves its shard from a *cold* seam in
+parallel (:func:`_cold_shard`), returning its per-instruction and
+per-line times as numpy arrays.  On the pool path, large calls publish
+the stream's buffers **once** through the shared-memory payload
+machinery of :mod:`repro.engine.pool` (:func:`_publish_shard_set`):
+each worker call ships only a ``(handle, shard index)`` pair and slices
+its shard out of the shared stream (:func:`_cold_shard_payload` caches
+the decoded stream per call token).  Calls below the shared-memory
+threshold, or any call when ``/dev/shm`` is unavailable, send each
+worker its own slice instead; the transport taken is recorded as
 ``payload`` (``"shm"``/``"inline"``) in
-:data:`repro.engine.pool.LAST_DECISION`.  The parent then stitches shards sequentially: it replays a few
-cache lines of each shard from the true (warm) seam state and watches for
-the warm trajectory to lock onto the worker's cold trajectory at one
-constant offset ``d``.  All calibration latencies are integer-valued
-picoseconds, so every time in the system is an exactly-representable
-float64 integer; once every live state component (tag times, per-line
-consumed/arrival times) in a verification window agrees with ``cold + d``
-bit-for-bit, every later value provably equals ``cold + d`` as well, and
-the precomputed suffix is adopted by one exact vectorised add.  Steering
-runs once over the merged tag array -- the identical :func:`_steer` call
-``run_batched`` makes -- and the shared :func:`_finalize` derives the
-measurement fields, so ``run_sharded`` is **bit-identical** to
-:func:`run_batched` on every field (``energy_pj`` is the very same
-closed-form sum).  Configurations with fractional calibrations, or seams
-that never lock (the offset check fails), degrade gracefully: the parent
-replays the whole shard from the warm seam, which is still exact, merely
-not parallel.
+:data:`repro.engine.pool.LAST_DECISION`.
+
+The parent then stitches shards in order (:func:`_stitch_shard`): it
+replays a few cache lines of each shard from the true (warm) seam state
+and watches for the warm trajectory to lock onto the worker's cold one
+at one constant offset ``d``.  All calibration latencies are
+integer-valued picoseconds, so every time in the system is an
+exactly-representable float64 integer; once every live state component
+(tag times, per-line consumed/arrival times) in a verification window
+agrees with ``cold + d`` bit-for-bit, every later value provably equals
+``cold + d`` as well, and the precomputed suffix is adopted by one exact
+vectorised add.  Steering runs once over the merged tag array -- the
+identical :func:`_steer` call ``run_batched`` makes -- and the shared
+:func:`_finalize` derives the measurement fields, so ``run_sharded`` is
+**bit-identical** to :func:`run_batched` on every field (``energy_pj``
+is the very same closed-form sum).  Configurations with fractional
+calibrations, or seams that never lock, degrade gracefully: the parent
+replays the whole shard from the warm seam, which is still exact,
+merely not parallel.
 """
 
 from __future__ import annotations
@@ -73,32 +77,33 @@ from __future__ import annotations
 import pickle
 from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.rappid.isa import (
-    InstructionClass,
     decode_latency_ps,
     steering_latency_ps,
     tag_latency_ps,
 )
-from repro.rappid.workload import CacheLine, Instruction
-
-try:  # optional: same IEEE float64 ops, just faster; the image has it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the toolchain
-    _np = None
-
-_CLASS_LIST: List[InstructionClass] = list(InstructionClass)
-_CLASS_CODES: Dict[InstructionClass, int] = {
-    cls: code for code, cls in enumerate(_CLASS_LIST)
-}
+from repro.rappid.workload import (
+    CLASS_ORDER,
+    CacheLine,
+    Instruction,
+    InstructionStream,
+)
 
 _NEG_INF = float("-inf")
 
 # Magnitude bound under which sums of exactly-representable integers stay
 # exactly representable in float64 through every intermediate below.
 _EXACT_BOUND = float(2**50)
+
+# Instructions converted to Python lists per step of a seam replay: a
+# replay usually locks within a few lines, so whole-shard conversion
+# would be wasted.
+_REPLAY_BLOCK = 1_024
 
 
 def _validate_config(config) -> None:
@@ -139,72 +144,78 @@ class ShardState:
         return cls(buffer_free=[0.0] * rows)
 
 
-def _stream_arrays(
-    instructions: Sequence[Instruction], line_bytes: int = 16
-) -> tuple:
-    """(lengths, classes, start_bytes, first_lines) as flat arrays.
+class _Prepared(NamedTuple):
+    """Per-instruction arrays of one stream under one line geometry."""
 
-    One C-level ``map`` pass per attribute; ``first_lines`` honours the
-    configured line geometry (with a shift fast path for the default
-    16-byte lines).
+    stream: InstructionStream
+    first_lines: np.ndarray
+    last_lines: np.ndarray
+    decode_ps: np.ndarray  # length-decode latency of each instruction
+    hop_ps: np.ndarray  # tag hop into each instruction (predecessor's length)
+    steer_ps: np.ndarray
+    span_max: int  # most line boundaries one instruction crosses
+
+
+def _prepare(
+    instructions: Sequence[Instruction], line_bytes: int, prev_length: int = 0
+) -> _Prepared:
+    """Latency and line arrays of a stream (``prev_length``: carried length).
+
+    Each latency model is evaluated once per distinct length (or
+    length/class pair) present, then gathered per instruction.  The first
+    hop of a cold stream is 0.0: it is added to a ``-inf`` tag time.
     """
-    lengths = list(map(attrgetter("length"), instructions))
-    classes = list(map(attrgetter("instruction_class"), instructions))
-    start_bytes = list(map(attrgetter("start_byte"), instructions))
-    if line_bytes == 16:
-        first_lines = [sb >> 4 for sb in start_bytes]
-    else:
-        first_lines = [sb // line_bytes for sb in start_bytes]
-    return lengths, classes, start_bytes, first_lines
+    stream = InstructionStream.from_instructions(instructions)
+    lengths = stream.lengths
+    first_lines = stream.first_lines(line_bytes)
+    last_lines = stream.last_lines(line_bytes)
+    classes = len(CLASS_ORDER)
+    keys = lengths * classes + stream.class_codes
+    size = int(lengths.max()) + 1
+    decode_of = np.zeros(size * classes)
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        decode_of[key] = decode_latency_ps(key // classes, CLASS_ORDER[key % classes])
+    tag_of = np.zeros(size)
+    steer_of = np.zeros(size)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        tag_of[length] = tag_latency_ps(length)
+        steer_of[length] = steering_latency_ps(length)
+    hop_ps = np.empty(len(lengths))
+    hop_ps[0] = tag_latency_ps(prev_length) if prev_length else 0.0
+    hop_ps[1:] = tag_of[lengths[:-1]]
+    return _Prepared(
+        stream,
+        first_lines,
+        last_lines,
+        decode_of[keys],
+        hop_ps,
+        steer_of[lengths],
+        int((last_lines - first_lines).max()),
+    )
 
 
-def _last_lines(
-    lengths: Sequence[int], start_bytes: Sequence[int], line_bytes: int
-) -> List[int]:
-    if line_bytes == 16:
-        return [(sb + length - 1) >> 4 for sb, length in zip(start_bytes, lengths)]
-    return [
-        (sb + length - 1) // line_bytes for sb, length in zip(start_bytes, lengths)
-    ]
-
-
-def _latency_tables(
-    lengths: Sequence[int], prev_length: int = 0
-) -> Tuple[List[float], List[float]]:
-    """Tag/steer lookup tables covering the stream (and a carried length)."""
-    size = max(lengths) + 1
-    if prev_length >= size:
-        size = prev_length + 1
-    tag_table = [0.0] * size
-    steer_table = [0.0] * size
-    for length in set(lengths):
-        tag_table[length] = tag_latency_ps(length)
-        steer_table[length] = steering_latency_ps(length)
-    if prev_length and tag_table[prev_length] == 0.0:
-        tag_table[prev_length] = tag_latency_ps(prev_length)
-    return tag_table, steer_table
-
-
-def _pick_loop(line_bytes: int, prefetch_depth: int, table_size: int):
-    """Hot loop when no instruction can span ``prefetch_depth`` lines.
+def _loop_for(prefetch_depth: int, span_max: int):
+    """Hot loop when no instruction spans ``prefetch_depth`` line boundaries.
 
     Deferring a line's ``line_consumed`` store to the line change is
     observable only if a straddling fetch can read the *current* line's
-    consumption, i.e. when an instruction can span at least
-    ``prefetch_depth`` line boundaries.  The common regime takes the hot
-    loop; the exotic one keeps per-instruction stores.
+    consumption, i.e. when an instruction spans at least
+    ``prefetch_depth`` line boundaries (``span_max`` is the stream's
+    widest span).  The common regime takes the hot loop; the exotic one
+    keeps per-instruction stores.
     """
-    if prefetch_depth > (line_bytes + table_size - 3) // line_bytes:
-        return _hot_loop
-    return _general_loop
+    return _hot_loop if prefetch_depth > span_max else _general_loop
+
+
+def _positive_deltas(times: np.ndarray) -> np.ndarray:
+    """``b - a`` for consecutive pairs with ``b > a`` (IEEE-identical)."""
+    deltas = np.diff(times)
+    return deltas[deltas > 0.0]
 
 
 def _intervals(times: Sequence[float]) -> List[float]:
-    """``[b - a for consecutive pairs if b > a]`` (IEEE-identical in numpy)."""
-    if _np is not None and len(times) > 64:
-        deltas = _np.diff(_np.asarray(times))
-        return deltas[deltas > 0.0].tolist()
-    return [b - a for a, b in zip(times, times[1:]) if b > a]
+    """``[b - a for consecutive pairs if b > a]`` as a list."""
+    return _positive_deltas(np.asarray(times, dtype=np.float64)).tolist()
 
 
 def run_batched(
@@ -228,71 +239,58 @@ def run_batched(
     intervals and latencies are reported per call, over this stream only.
     """
     _validate_config(config)
-    if not instructions:
+    if not len(instructions):
         return None
-
-    line_bytes = config.line_bytes
-    prefetch_depth = config.prefetch_depth
-
-    lengths, classes, start_bytes, first_lines = _stream_arrays(
-        instructions, line_bytes
-    )
-    last_lines = _last_lines(lengths, start_bytes, line_bytes)
     if carry is None:
         carry = ShardState.cold(config.rows)
-    tag_table, steer_table = _latency_tables(lengths, carry.prev_length)
+    prep = _prepare(instructions, config.line_bytes, carry.prev_length)
 
-    loop = _pick_loop(line_bytes, prefetch_depth, len(tag_table))
+    loop = _loop_for(config.prefetch_depth, prep.span_max)
     avail_times, tag_times, line_consumed, line_arrival = loop(
-        lengths,
-        classes,
-        first_lines,
-        last_lines,
-        tag_table,
-        steer_table,
-        prefetch_depth,
+        prep.first_lines,
+        prep.last_lines,
+        prep.decode_ps,
+        prep.hop_ps,
+        config.prefetch_depth,
         config.line_fetch_latency_ps,
         carry.tag_time,
-        carry.prev_length,
         dict(carry.line_consumed),
         dict(carry.line_arrival),
     )
-
-    initial_free = carry.buffer_free or [0.0] * config.rows
-    first_row = carry.next_row
-    issue_times, row_issues, buffer_free, next_row = _steer(
+    issue_arr, buffer_free, next_row = _steer(
         tag_times,
-        lengths,
-        steer_table,
+        prep.steer_ps,
         config.rows,
         config.output_buffer_cycle_ps,
-        initial_free,
-        first_row,
+        carry.buffer_free or [0.0] * config.rows,
+        carry.next_row,
     )
 
     if carry.line_consumed:
         # Per-call contract: line intervals cover only the lines this
         # stream consumed, not the carried-in history (a carried line this
         # call re-consumed reports its updated time).
-        consumed_values = [line_consumed[line] for line in set(first_lines)]
+        consumed_values = [
+            line_consumed[line] for line in np.unique(prep.first_lines).tolist()
+        ]
     else:
         consumed_values = list(line_consumed.values())
+    lengths = prep.stream.lengths
     fields = _finalize(
         config,
         lengths,
         avail_times,
         tag_times,
-        issue_times,
-        row_issues,
+        issue_arr,
         consumed_values,
-        len(instructions),
+        len(lengths),
         len(lines),
-        first_row,
+        carry.next_row,
     )
     if emit_carry:
         fields["carry_out"] = ShardState(
-            tag_time=tag_times[-1],
-            prev_length=lengths[-1],
+            tag_time=float(tag_times[-1]),
+            prev_length=int(lengths[-1]),
             next_row=next_row,
             buffer_free=buffer_free,
             line_consumed=line_consumed,
@@ -303,12 +301,11 @@ def run_batched(
 
 def _finalize(
     config,
-    lengths: List[int],
-    avail_times: Sequence[float],
-    tag_times: Sequence[float],
-    issue_times: Sequence[float],
-    row_issues: Optional[list],
-    consumed_values: List[float],
+    lengths: np.ndarray,
+    avail_times: np.ndarray,
+    tag_times: np.ndarray,
+    issue_times: np.ndarray,
+    consumed_values: Sequence[float],
     instruction_count: int,
     line_count: int,
     first_row: int = 0,
@@ -319,65 +316,41 @@ def _finalize(
     two entry points perform the identical final floating-point ops.
     """
     rows = config.rows
-    steer_intervals: List[float] = []
-    if _np is not None and len(issue_times) > 64:
-        issue_arr = _np.asarray(issue_times)
-        latencies = _np.subtract(issue_arr, _np.asarray(avail_times)).tolist()
-        total_time = float(issue_arr.max())
-        tag_deltas = _np.diff(_np.asarray(tag_times))
-        tag_intervals = tag_deltas[tag_deltas > 0.0].tolist()
-        for row in range(rows):
-            # Round-robin row assignment: row r's issues sit at positions
-            # congruent to (r - first_row) modulo rows.
-            row_arr = (
-                row_issues[row]
-                if row_issues
-                else issue_arr[(row - first_row) % rows :: rows]
-            )
-            row_deltas = _np.diff(row_arr)
-            steer_intervals.extend(row_deltas[row_deltas > 0.0].tolist())
-    else:
-        latencies = [issue - avail for issue, avail in zip(issue_times, avail_times)]
-        total_time = max(issue_times)
-        tag_intervals = _intervals(tag_times)
-        for row in range(rows):
-            steer_intervals.extend(
-                _intervals(issue_times[(row - first_row) % rows :: rows])
-            )
+    # Round-robin row assignment: row r's issues sit at positions
+    # congruent to (r - first_row) modulo rows.
+    steer_intervals = np.concatenate(
+        [
+            _positive_deltas(issue_times[(row - first_row) % rows :: rows])
+            for row in range(rows)
+        ]
+    )
     energy = (
         instruction_count
         * (config.decode_energy_pj + config.tag_energy_pj + config.steer_energy_pj)
-        + config.byte_latch_energy_pj * sum(lengths)
+        + config.byte_latch_energy_pj * int(lengths.sum())
     )
-    line_intervals = _intervals(sorted(consumed_values))
-
+    consumed = np.sort(np.asarray(consumed_values, dtype=np.float64))
     return {
         "instruction_count": instruction_count,
         "line_count": line_count,
-        "total_time_ps": total_time,
-        "issue_times_ps": list(issue_times),
-        "instruction_latencies_ps": latencies,
-        "tag_intervals_ps": tag_intervals,
-        "line_intervals_ps": line_intervals,
-        "steer_intervals_ps": steer_intervals,
+        "total_time_ps": float(issue_times.max()),
+        "issue_times_ps": issue_times.tolist(),
+        "instruction_latencies_ps": (issue_times - avail_times).tolist(),
+        "tag_intervals_ps": _intervals(tag_times),
+        "line_intervals_ps": _intervals(consumed),
+        "steer_intervals_ps": steer_intervals.tolist(),
         "energy_pj": energy,
     }
 
 
-def _decode_tables(size: int) -> Tuple[List[object], List[float], Dict]:
-    """Empty lazy decode-latency caches (see the loop bodies)."""
-    return [None] * size, [0.0] * size, {}
-
-
 def _steer(
-    tag_times: List[float],
-    lengths: List[int],
-    steer_table: List[float],
+    tag_arr: np.ndarray,
+    steer_arr: np.ndarray,
     rows: int,
     cycle: float,
     initial_free: Optional[List[float]] = None,
     first_row: int = 0,
-) -> Tuple[List[float], Optional[list], List[float], int]:
+) -> Tuple[np.ndarray, List[float], int]:
     """Issue times for round-robin steering into ``rows`` output buffers.
 
     The recurrence per row is ``issue[k] = max(tag[k], issue[k-1] + cycle)
@@ -387,71 +360,53 @@ def _steer(
     both the sequential reference loop and the ``cumsum``/
     ``maximum.accumulate`` transform below is an exactly-representable
     integer, so the vectorised result is bit-identical and the scan runs
-    per row in C.  Anything else (fractional user calibrations, no numpy)
-    falls back to the sequential loop.
+    per row in C.  Fractional calibrations fall back to the sequential
+    loop.
 
     ``initial_free``/``first_row`` warm-start the fabric at a seam.
 
-    Returns ``(issue_times, per-row issue arrays or None, final
-    buffer_free, next_row)``.
+    Returns ``(issue_times, final buffer_free, next_row)``.
     """
-    n = len(tag_times)
+    n = len(tag_arr)
     if initial_free is None:
         initial_free = [0.0] * rows
-    use_np = _np is not None and n > 64
-    if use_np:
-        tag_arr = _np.asarray(tag_times)
-        steer_arr = _np.asarray(steer_table)[_np.asarray(lengths)]
-        free_arr = _np.asarray(initial_free)
-        exact = (
-            float(cycle).is_integer()
-            and cycle >= 0.0
-            and bool(_np.isfinite(tag_arr).all())
-            and bool((tag_arr == _np.floor(tag_arr)).all())
-            and bool((steer_arr == _np.floor(steer_arr)).all())
-            and bool((free_arr == _np.floor(free_arr)).all())
-            and float(_np.abs(tag_arr).max(initial=0.0)) < _EXACT_BOUND
-            and float(_np.abs(steer_arr).max(initial=0.0)) < _EXACT_BOUND
-            and float(_np.abs(free_arr).max(initial=0.0)) < _EXACT_BOUND
-            and n * (float(_np.abs(steer_arr).max(initial=0.0)) + cycle)
-            < _EXACT_BOUND
-        )
-        if exact:
-            issue_arr = _np.empty(n)
-            row_issues = []
-            final_free = list(initial_free)
-            for row in range(rows):
-                offset = (row - first_row) % rows
-                tag_row = tag_arr[offset::rows]
-                if not len(tag_row):
-                    row_issues.append(tag_row)
-                    continue
-                steer_row = steer_arr[offset::rows]
-                ceiling = tag_row + steer_row
-                # The seam buffer_free enters only the first element.
-                ceiling[0] = max(ceiling[0], initial_free[row] + steer_row[0])
-                offsets = _np.empty(len(tag_row))
-                offsets[0] = 0.0
-                _np.cumsum(steer_row[1:] + cycle, out=offsets[1:])
-                issue_row = (
-                    _np.maximum.accumulate(ceiling - offsets) + offsets
-                )
-                issue_arr[offset::rows] = issue_row
-                row_issues.append(issue_row)
-                final_free[row] = float(issue_row[-1]) + cycle
-            return (
-                issue_arr.tolist(),
-                row_issues,
-                final_free,
-                (first_row + n) % rows,
-            )
+    free_arr = np.asarray(initial_free, dtype=np.float64)
+    exact = (
+        float(cycle).is_integer()
+        and cycle >= 0.0
+        and bool(np.isfinite(tag_arr).all())
+        and bool((tag_arr == np.floor(tag_arr)).all())
+        and bool((steer_arr == np.floor(steer_arr)).all())
+        and bool((free_arr == np.floor(free_arr)).all())
+        and float(np.abs(tag_arr).max(initial=0.0)) < _EXACT_BOUND
+        and float(np.abs(free_arr).max(initial=0.0)) < _EXACT_BOUND
+        and n * (float(np.abs(steer_arr).max(initial=0.0)) + cycle) < _EXACT_BOUND
+    )
+    if exact:
+        issue_arr = np.empty(n)
+        final_free = list(initial_free)
+        for row in range(rows):
+            offset = (row - first_row) % rows
+            tag_row = tag_arr[offset::rows]
+            if not len(tag_row):
+                continue
+            steer_row = steer_arr[offset::rows]
+            ceiling = tag_row + steer_row
+            # The seam buffer_free enters only the first element.
+            ceiling[0] = max(ceiling[0], initial_free[row] + steer_row[0])
+            offsets = np.empty(len(tag_row))
+            offsets[0] = 0.0
+            np.cumsum(steer_row[1:] + cycle, out=offsets[1:])
+            issue_row = np.maximum.accumulate(ceiling - offsets) + offsets
+            issue_arr[offset::rows] = issue_row
+            final_free[row] = float(issue_row[-1]) + cycle
+        return issue_arr, final_free, (first_row + n) % rows
 
-    steer_lats = list(map(steer_table.__getitem__, lengths))
     issue_times: List[float] = []
     issue_append = issue_times.append
     buffer_free = list(initial_free)
     row = first_row
-    for tag_time, steer_lat in zip(tag_times, steer_lats):
+    for tag_time, steer_lat in zip(tag_arr.tolist(), steer_arr.tolist()):
         free = buffer_free[row]
         steer_start = tag_time if tag_time >= free else free
         issue = steer_start + steer_lat
@@ -460,212 +415,182 @@ def _steer(
         if row == rows:
             row = 0
         issue_append(issue)
-    return issue_times, None, buffer_free, row
+    return np.array(issue_times), buffer_free, row
+
+
+def _arrival_of(
+    line: int,
+    line_arrival: Dict[int, float],
+    line_consumed: Dict[int, float],
+    prefetch_depth: int,
+    fetch_latency: float,
+) -> float:
+    """Arrival time of ``line``: the reference's recursion, unrolled.
+
+    A line arrives ``fetch_latency`` after the line ``prefetch_depth``
+    earlier was consumed, or -- when that blocker has no consumption on
+    record -- after the blocker's own arrival; the first
+    ``prefetch_depth`` lines arrive at 0.  Every arrival computed on the
+    way is stored, as in the reference.
+    """
+    pending = []
+    while True:
+        arrival = line_arrival.get(line)
+        if arrival is not None:
+            break
+        if line < prefetch_depth:
+            arrival = line_arrival[line] = 0.0
+            break
+        pending.append(line)
+        line -= prefetch_depth
+        arrival = line_consumed.get(line)
+        if arrival is not None:
+            break
+    for line in reversed(pending):
+        arrival = line_arrival[line] = arrival + fetch_latency
+    return arrival
 
 
 def _hot_loop(
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    tag_table: List[float],
-    steer_table: List[float],
+    first_lines: np.ndarray,
+    last_lines: np.ndarray,
+    decode_ps: np.ndarray,
+    hop_ps: np.ndarray,
     prefetch_depth: int,
     fetch_latency: float,
-    previous_tag_time: float = _NEG_INF,
-    previous_length: int = 0,
-    line_consumed: Optional[Dict[int, float]] = None,
-    line_arrival: Optional[Dict[int, float]] = None,
-) -> Tuple[List[float], List[float], Dict[int, float], Dict[int, float]]:
+    previous_tag_time: float,
+    line_consumed: Dict[int, float],
+    line_arrival: Dict[int, float],
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, float], Dict[int, float]]:
     """Per-instruction recurrence with line-consumption stores deferred.
 
     Tag times are nondecreasing, so one store per line (of the line's last
     tag) equals the reference's per-instruction running max; the caller
-    guarantees no straddling fetch can observe the deferral.  The four
-    trailing parameters carry a seam state (cold defaults reproduce the
-    reference's position-0 special case: -inf makes the first tag collapse
-    to ``ready`` without a branch).
+    guarantees no straddling fetch can observe the deferral.  A cold
+    ``previous_tag_time`` of ``-inf`` makes the first tag collapse to
+    ``ready`` without the reference's position-0 branch.
+
+    Lines are walked as per-instruction steps and spans (small ints,
+    which Python does not allocate), and times go straight into
+    ``array('d')`` buffers.
     """
-    decode_class, decode_lat_of, decode_overflow = _decode_tables(len(tag_table))
-    if line_arrival is None:
-        line_arrival = {}
-    if line_consumed is None:
-        line_consumed = {}
     arrival_get = line_arrival.get
     consumed_get = line_consumed.get
-
-    def arrival_of(line_index: int) -> float:
-        """Recursive slow path: only lines with no instruction start in them."""
-        cached = arrival_get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = consumed_get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
-
-    avail_times: List[float] = []
-    tag_times: List[float] = []
+    avail_times = array("d")
+    tag_times = array("d")
     avail_append = avail_times.append
     tag_append = tag_times.append
+    steps = np.diff(first_lines, prepend=-1)
+    spans = last_lines - first_lines
 
     current_line = -1
     current_avail = 0.0
-    for length, instruction_class, first_line, last_line in zip(
-        lengths, classes, first_lines, last_lines
+    for step, span, decode_lat, hop in zip(
+        steps.tolist(), spans.tolist(), decode_ps.tolist(), hop_ps.tolist()
     ):
-        if first_line == current_line:
-            bytes_available = current_avail
-        else:
+        if step:
             if current_line >= 0:
                 line_consumed[current_line] = previous_tag_time
-            bytes_available = arrival_get(first_line)
-            if bytes_available is None:
-                if first_line < prefetch_depth:
-                    bytes_available = 0.0
+            current_line += step
+            current_avail = arrival_get(current_line)
+            if current_avail is None:
+                previous_done = consumed_get(current_line - prefetch_depth)
+                if previous_done is None:
+                    current_avail = _arrival_of(
+                        current_line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+                    )
                 else:
-                    previous_done = consumed_get(first_line - prefetch_depth)
-                    if previous_done is None:
-                        previous_done = arrival_of(first_line - prefetch_depth)
-                    bytes_available = previous_done + fetch_latency
-                line_arrival[first_line] = bytes_available
-            current_line = first_line
-            current_avail = bytes_available
-        if last_line != first_line:
-            for line in range(first_line + 1, last_line + 1):
+                    current_avail = previous_done + fetch_latency
+                    line_arrival[current_line] = current_avail
+        bytes_available = current_avail
+        if span:
+            for line in range(current_line + 1, current_line + span + 1):
                 arrival = arrival_get(line)
                 if arrival is None:
-                    if line < prefetch_depth:
-                        arrival = 0.0
+                    previous_done = consumed_get(line - prefetch_depth)
+                    if previous_done is None:
+                        arrival = _arrival_of(
+                            line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+                        )
                     else:
-                        previous_done = consumed_get(line - prefetch_depth)
-                        if previous_done is None:
-                            previous_done = arrival_of(line - prefetch_depth)
                         arrival = previous_done + fetch_latency
-                    line_arrival[line] = arrival
+                        line_arrival[line] = arrival
                 if arrival > bytes_available:
                     bytes_available = arrival
         avail_append(bytes_available)
 
-        if decode_class[length] is instruction_class:
-            decode_lat = decode_lat_of[length]
-        else:
-            decode_lat = decode_overflow.get((length, instruction_class))
-            if decode_lat is None:
-                decode_lat = decode_latency_ps(length, instruction_class)
-                decode_overflow[(length, instruction_class)] = decode_lat
-            if decode_class[length] is None:
-                decode_class[length] = instruction_class
-                decode_lat_of[length] = decode_lat
         ready = bytes_available + decode_lat
-
-        tag_time = previous_tag_time + tag_table[previous_length]
+        tag_time = previous_tag_time + hop
         if tag_time < ready:
             tag_time = ready
         tag_append(tag_time)
-
         previous_tag_time = tag_time
-        previous_length = length
     if current_line >= 0:
         line_consumed[current_line] = previous_tag_time
-    return avail_times, tag_times, line_consumed, line_arrival
+    return np.frombuffer(avail_times), np.frombuffer(tag_times), line_consumed, line_arrival
 
 
 def _general_loop(
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    tag_table: List[float],
-    steer_table: List[float],
+    first_lines: np.ndarray,
+    last_lines: np.ndarray,
+    decode_ps: np.ndarray,
+    hop_ps: np.ndarray,
     prefetch_depth: int,
     fetch_latency: float,
-    previous_tag_time: float = _NEG_INF,
-    previous_length: int = 0,
-    line_consumed: Optional[Dict[int, float]] = None,
-    line_arrival: Optional[Dict[int, float]] = None,
-) -> Tuple[List[float], List[float], Dict[int, float], Dict[int, float]]:
+    previous_tag_time: float,
+    line_consumed: Dict[int, float],
+    line_arrival: Dict[int, float],
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, float], Dict[int, float]]:
     """Reference-shaped loop with per-instruction line_consumed stores.
 
     Used for exotic configurations (instructions that can span
     ``prefetch_depth`` line boundaries) where the deferred store of
-    :func:`_hot_loop` could be observed.  Accepts the same seam-state
-    carry as :func:`_hot_loop`.
+    :func:`_hot_loop` could be observed.  Same parameters as
+    :func:`_hot_loop`.
     """
-    decode_class, decode_lat_of, decode_overflow = _decode_tables(len(tag_table))
-    if line_arrival is None:
-        line_arrival = {}
-    if line_consumed is None:
-        line_consumed = {}
-
-    def arrival_of(line_index: int) -> float:
-        cached = line_arrival.get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = line_consumed.get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
-
-    avail_times: List[float] = []
-    tag_times: List[float] = []
-    for length, instruction_class, first_line, last_line in zip(
-        lengths, classes, first_lines, last_lines
+    arrival_get = line_arrival.get
+    avail_times = array("d")
+    tag_times = array("d")
+    for first_line, last_line, decode_lat, hop in zip(
+        first_lines.tolist(), last_lines.tolist(), decode_ps.tolist(), hop_ps.tolist()
     ):
-        bytes_available = arrival_of(first_line)
+        bytes_available = arrival_get(first_line)
+        if bytes_available is None:
+            bytes_available = _arrival_of(
+                first_line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+            )
         for line in range(first_line + 1, last_line + 1):
-            arrival = arrival_of(line)
+            arrival = arrival_get(line)
+            if arrival is None:
+                arrival = _arrival_of(
+                    line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+                )
             if arrival > bytes_available:
                 bytes_available = arrival
         avail_times.append(bytes_available)
 
-        if decode_class[length] is instruction_class:
-            decode_lat = decode_lat_of[length]
-        else:
-            decode_lat = decode_overflow.get((length, instruction_class))
-            if decode_lat is None:
-                decode_lat = decode_latency_ps(length, instruction_class)
-                decode_overflow[(length, instruction_class)] = decode_lat
-            if decode_class[length] is None:
-                decode_class[length] = instruction_class
-                decode_lat_of[length] = decode_lat
         ready = bytes_available + decode_lat
-
-        tag_time = previous_tag_time + tag_table[previous_length]
+        tag_time = previous_tag_time + hop
         if tag_time < ready:
             tag_time = ready
         tag_times.append(tag_time)
 
         consumed = line_consumed.get(first_line, 0.0)
         line_consumed[first_line] = consumed if consumed >= tag_time else tag_time
-
         previous_tag_time = tag_time
-        previous_length = length
-    return avail_times, tag_times, line_consumed, line_arrival
+    return np.frombuffer(avail_times), np.frombuffer(tag_times), line_consumed, line_arrival
 
 
 # -- exact multiprocessing shard protocol --------------------------------------------
 
 
-def _shard_boundaries(first_lines: Sequence[int], shards: int) -> List[int]:
+def _shard_boundaries(first_lines: np.ndarray, shards: int) -> List[int]:
     """Split instruction indices into contiguous, line-aligned chunks."""
     n = len(first_lines)
     boundaries = [0]
     for shard in range(1, shards):
         cut = n * shard // shards
-        while cut < n and cut > 0 and first_lines[cut] == first_lines[cut - 1]:
+        while 0 < cut < n and first_lines[cut] == first_lines[cut - 1]:
             cut += 1
         if cut > boundaries[-1] and cut < n:
             boundaries.append(cut)
@@ -673,85 +598,68 @@ def _shard_boundaries(first_lines: Sequence[int], shards: int) -> List[int]:
     return boundaries
 
 
-def _shard_payload(
-    config,
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    start: int,
-    stop: int,
-    base_line: int,
-) -> tuple:
-    """Compact flat-array wire format of one shard (no Instruction objects)."""
-    return (
-        config,
-        array("i", lengths[start:stop]),
-        array("B", map(_CLASS_CODES.__getitem__, classes[start:stop])),
-        array("q", [f - base_line for f in first_lines[start:stop]]),
-        array("q", [l - base_line for l in last_lines[start:stop]]),
-    )
+def _shard_payload(config, stream: InstructionStream, span: Tuple[int, int, int]) -> tuple:
+    """Wire format of one shard: the config, a stream slice, its base line."""
+    start, stop, base_line = span
+    return config, stream[start:stop], base_line
+
+
+def _store_lines(by_line: np.ndarray, lines: Dict[int, float]) -> None:
+    """Write a line dict into a per-line array."""
+    if lines:
+        keys = np.fromiter(lines.keys(), np.int64, len(lines))
+        by_line[keys] = np.fromiter(lines.values(), np.float64, len(lines))
+
+
+def _line_array(by_line: Dict[int, float], line_count: int) -> np.ndarray:
+    """Per-line times as an array, NaN where the dict has no entry."""
+    values = np.full(line_count, np.nan)
+    _store_lines(values, by_line)
+    return values
 
 
 def _cold_shard(payload: tuple) -> tuple:
-    """Worker: solve one shard from a cold seam, on flat arrays only.
+    """Worker: solve one shard from a cold seam, on its slice's arrays.
 
-    Returns ``(avail, tags, consumed-by-line, arrival-by-line)`` as
-    ``array('d')`` buffers; the per-line arrays use NaN for lines the
-    recurrence never touched (gap lines with no instruction start).
+    Line indices are relative to the shard's base line.  Returns
+    ``(avail, tags, consumed-by-line, arrival-by-line)`` as float64
+    arrays; the per-line arrays hold NaN for lines the recurrence never
+    touched (gap lines with no instruction start).
     """
-    config, length_arr, code_arr, first_arr, last_arr = payload
-    lengths = list(length_arr)
-    classes = list(map(_CLASS_LIST.__getitem__, code_arr))
-    first_lines = list(first_arr)
-    last_lines = list(last_arr)
-    tag_table, steer_table = _latency_tables(lengths)
-    loop = _pick_loop(config.line_bytes, config.prefetch_depth, len(tag_table))
+    config, stream, base_line = payload
+    prep = _prepare(stream, config.line_bytes)
+    first_lines = prep.first_lines - base_line
+    last_lines = prep.last_lines - base_line
+    loop = _loop_for(config.prefetch_depth, prep.span_max)
     avail, tags, consumed, arrival = loop(
-        lengths,
-        classes,
         first_lines,
         last_lines,
-        tag_table,
-        steer_table,
+        prep.decode_ps,
+        prep.hop_ps,
         config.prefetch_depth,
         config.line_fetch_latency_ps,
         _NEG_INF,
-        0,
         {},
         {},
     )
-    line_count = last_lines[-1] + 1
-    nan = float("nan")
-    consumed_arr = array("d", (consumed.get(L, nan) for L in range(line_count)))
-    arrival_arr = array("d", (arrival.get(L, nan) for L in range(line_count)))
-    return array("d", avail), array("d", tags), consumed_arr, arrival_arr
+    line_count = int(last_lines.max()) + 1
+    return avail, tags, _line_array(consumed, line_count), _line_array(arrival, line_count)
 
 
-def _publish_shard_set(config, payloads: Sequence[tuple]):
-    """Publish one call's shard arrays as a shared-memory handle, or None.
+def _publish_shard_set(config, stream: InstructionStream, spans: Sequence[tuple]):
+    """Publish one call's stream and shard spans as a shared-memory handle.
 
-    The blob holds the config once plus every shard's flat arrays (the
-    config is stripped from each per-shard tuple); workers rebuild the
-    per-shard payload from ``(handle, index)``.  Returns ``None`` when a
-    segment is not worth it or cannot be created -- arrays cheaply
-    estimated below the shared-memory threshold, or ``/dev/shm``
-    unavailable.  An inline handle would ship the *whole* shard set in
-    every worker call (N times the data); the caller then dispatches
-    each shard's own arrays directly instead, which is the same
-    per-call pickling the pre-payload protocol paid.
+    Returns ``None`` when a segment is not worth it or cannot be created
+    -- buffers below the shared-memory threshold, or ``/dev/shm``
+    unavailable.  An inline handle would ship the *whole* stream in
+    every worker call (N times the data); the caller then sends each
+    worker its own slice instead.
     """
     from repro.engine import pool
 
-    estimate = sum(
-        arr.itemsize * len(arr) for payload in payloads for arr in payload[1:]
-    )
-    if estimate < pool.SHM_MIN_PAYLOAD_BYTES:
+    if stream.nbytes < pool.SHM_MIN_PAYLOAD_BYTES:
         return None
-    blob = pickle.dumps(
-        {"config": config, "shards": [payload[1:] for payload in payloads]},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    blob = pickle.dumps((config, stream, list(spans)), protocol=pickle.HIGHEST_PROTOCOL)
     ref = pool.publish_payload(blob)
     if ref.kind != "shm":
         pool.release_payload(ref)  # no-op for inline handles
@@ -764,14 +672,14 @@ def _publish_shard_set(config, payloads: Sequence[tuple]):
 # it once.  Tokens are one per call and never recur (the parent releases
 # the segment before returning), so a single slot is the right bound --
 # anything older is dead weight in a long-lived worker.
-_SHARD_SET_CACHE: Dict[str, dict] = {}
+_SHARD_SET_CACHE: Dict[str, tuple] = {}
 
 
 def _cold_shard_payload(ref, index: int) -> tuple:
     """Worker entry point for the published-payload route.
 
-    Fetches the call's shard set from the shared-memory segment, caches
-    the decoded form per token, and solves shard ``index`` exactly like
+    Fetches the call's stream from the shared-memory segment, caches the
+    decoded form per token, and solves shard ``index`` exactly like
     :func:`_cold_shard`.
     """
     from repro.engine import pool
@@ -784,10 +692,11 @@ def _cold_shard_payload(ref, index: int) -> tuple:
         pool.forget_cached_payload(ref)
         _SHARD_SET_CACHE.clear()
         _SHARD_SET_CACHE[ref.token] = shard_set
-    return _cold_shard((shard_set["config"],) + tuple(shard_set["shards"][index]))
+    config, stream, spans = shard_set
+    return _cold_shard(_shard_payload(config, stream, spans[index]))
 
 
-def _offset_exact(cold_arrays: Sequence) -> bool:
+def _offset_exact(cold_arrays: Sequence[np.ndarray]) -> bool:
     """True when every finite cold value is an integer within the exact bound.
 
     The suffix-adoption step adds a constant offset to the worker's
@@ -795,22 +704,13 @@ def _offset_exact(cold_arrays: Sequence) -> bool:
     float64s, so fractional calibrations disable adoption (the stitcher
     then replays the shard fully, which is exact regardless).
     """
-    if _np is not None:
-        for arr in cold_arrays:
-            values = _np.frombuffer(arr)
-            finite = values[_np.isfinite(values)]
-            if finite.size and (
-                bool((finite != _np.floor(finite)).any())
-                or float(_np.abs(finite).max()) >= _EXACT_BOUND
-            ):
-                return False
-        return True
-    for arr in cold_arrays:
-        for value in arr:
-            if value == value and (
-                value != int(value) or not -_EXACT_BOUND < value < _EXACT_BOUND
-            ):
-                return False
+    for values in cold_arrays:
+        finite = values[np.isfinite(values)]
+        if finite.size and (
+            bool((finite != np.floor(finite)).any())
+            or float(np.abs(finite).max()) >= _EXACT_BOUND
+        ):
+            return False
     return True
 
 
@@ -820,67 +720,81 @@ def _worker_count() -> int:
     return pool.worker_count()
 
 
+def _replay_lists(array: np.ndarray, start: int, stop: int):
+    """``array[start:stop]`` as Python scalars, converted block by block."""
+    return chain.from_iterable(
+        array[low : min(low + _REPLAY_BLOCK, stop)].tolist()
+        for low in range(start, stop, _REPLAY_BLOCK)
+    )
+
+
+def _line_dict(by_line: np.ndarray, low: int) -> Dict[int, float]:
+    """The recorded (non-NaN) entries of ``by_line[low:]``, keyed by line."""
+    values = by_line[low:]
+    known = np.flatnonzero(values == values)
+    return dict(zip((known + low).tolist(), values[known].tolist()))
+
+
 def _stitch_shard(
     config,
-    lengths: List[int],
-    classes: List[object],
-    first_lines: List[int],
-    last_lines: List[int],
-    tag_table: List[float],
-    decode_caches: tuple,
+    prep: _Prepared,
     start: int,
     stop: int,
     base_line: int,
     cold: tuple,
-    exact_ok: bool,
     window_lines: int,
-    span_max: int,
-    line_consumed: Dict[int, float],
-    line_arrival: Dict[int, float],
+    consumed_by_line: np.ndarray,
+    arrival_by_line: np.ndarray,
     previous_tag_time: float,
-    previous_length: int,
-    out_avail: List[float],
-    out_tags: List[float],
-) -> Tuple[float, int]:
+    out_avail: np.ndarray,
+    out_tags: np.ndarray,
+) -> float:
     """Replay one shard from the true seam until it locks onto the cold run.
 
-    Mirrors :func:`_general_loop` instruction by instruction (identical
-    float ops against the authoritative global line state).  After each
-    completed cache line the warm state is compared against the worker's
-    cold state: once every tag, consumed and arrival value across
-    ``window_lines`` consecutive lines differs from the cold value by one
-    constant integer offset ``d`` -- and every window line has a consumed
-    entry, which pins the arrival recursion's reach-back inside the
-    window -- all later warm values provably equal ``cold + d``, so the
-    remaining suffix is adopted with one exact vectorised add.  If the
-    window never locks (or ``exact_ok`` is false) the whole shard is
-    replayed, which is exact, just sequential.
+    The global line state lives in ``consumed_by_line``/``arrival_by_line``
+    (NaN: nothing on record); the replay works on dicts seeded with the
+    lines it can read.  It mirrors :func:`_general_loop` instruction by
+    instruction (identical float ops), writing into
+    ``out_avail``/``out_tags``.  After each completed cache line the warm
+    state is compared against the worker's cold state: once every tag,
+    consumed and arrival value across ``window_lines`` consecutive lines
+    differs from the cold value by one constant integer offset ``d`` --
+    and every window line has a consumed entry, which pins the arrival
+    recursion's reach-back inside the window -- all later warm values
+    provably equal ``cold + d``, so the remaining suffix is adopted with
+    one exact vectorised add.  If the window never locks (or the cold
+    values are not exact integers) the whole shard is replayed, which is
+    exact, just sequential.  The first shard's cold seam *is* the stream
+    start, so it is adopted wholesale.
 
-    Returns the carry ``(previous_tag_time, previous_length)``.
+    Returns the tag time carried past the shard.
     """
     cold_avail, cold_tags, cold_consumed, cold_arrival = cold
     line_count = len(cold_consumed)
+    if start == 0:
+        out_avail[:stop] = cold_avail
+        out_tags[:stop] = cold_tags
+        consumed_by_line[:line_count] = cold_consumed
+        arrival_by_line[:line_count] = cold_arrival
+        return float(cold_tags[-1])
+
+    span_max = prep.span_max
     prefetch_depth = config.prefetch_depth
     fetch_latency = config.line_fetch_latency_ps
-    decode_class, decode_lat_of, decode_overflow = decode_caches
+    # The replay reads lines from base_line on, plus the arrival walk's
+    # reach-back, which stops at the first earlier line with an arrival on
+    # record: when every line before the seam has one, it never passes
+    # base_line - prefetch_depth.
+    seed_from = 0
+    if not np.isnan(arrival_by_line[:base_line]).any():
+        seed_from = max(0, base_line - prefetch_depth)
+    line_consumed = _line_dict(consumed_by_line, seed_from)
+    line_arrival = _line_dict(arrival_by_line, seed_from)
     arrival_get = line_arrival.get
     consumed_get = line_consumed.get
-    shard_first_line = first_lines[start]
-
-    def arrival_of(line_index: int) -> float:
-        cached = arrival_get(line_index)
-        if cached is not None:
-            return cached
-        if line_index < prefetch_depth:
-            arrival = 0.0
-        else:
-            blocker = line_index - prefetch_depth
-            previous_done = consumed_get(blocker)
-            if previous_done is None:
-                previous_done = arrival_of(blocker)
-            arrival = previous_done + fetch_latency
-        line_arrival[line_index] = arrival
-        return arrival
+    exact_ok = _offset_exact(cold)
+    consumed_list = cold_consumed.tolist() if exact_ok else []
+    arrival_list = cold_arrival.tolist() if exact_ok else []
 
     # Uniform warm-minus-cold tag offset of each completed line (NaN: mixed).
     line_delta: Dict[int, float] = {}
@@ -893,14 +807,14 @@ def _stitch_shard(
         if d != int(d) or not -_EXACT_BOUND < d < _EXACT_BOUND:
             return None
         low = top - window_lines + 1
-        if low < shard_first_line:
+        if low < base_line:
             return None
         for line in range(low, top + 1):
             tag_d = line_delta.get(line)
             if tag_d is not None and tag_d != d:
                 return None
             index = line - base_line
-            cold_done = cold_consumed[index]
+            cold_done = consumed_list[index]
             warm_done = consumed_get(line)
             if warm_done is None:
                 # Gap line: the arrival walk could step over the window's
@@ -910,7 +824,7 @@ def _stitch_shard(
                 return None
             warm_arrival = arrival_get(line)
             if warm_arrival is not None:
-                cold_arr = cold_arrival[index]
+                cold_arr = arrival_list[index]
                 if cold_arr != cold_arr or warm_arrival - cold_arr != d:
                     return None
         for line in range(top + 1, top + span_max + 1):
@@ -919,18 +833,25 @@ def _stitch_shard(
                 break
             warm_arrival = arrival_get(line)
             if warm_arrival is not None:
-                cold_arr = cold_arrival[index]
+                cold_arr = arrival_list[index]
                 if cold_arr != cold_arr or warm_arrival - cold_arr != d:
                     return None
         return d
 
+    avail_times: List[float] = []
+    tag_times: List[float] = []
     adopt_from: Optional[int] = None
     adopt_d = 0.0
     current_line = -1
     current_delta: Optional[float] = None
     i = start
-    while i < stop:
-        first_line = first_lines[i]
+    for first_line, last_line, decode_lat, hop, cold_tag in zip(
+        _replay_lists(prep.first_lines, start, stop),
+        _replay_lists(prep.last_lines, start, stop),
+        _replay_lists(prep.decode_ps, start, stop),
+        _replay_lists(prep.hop_ps, start, stop),
+        _replay_lists(cold_tags, 0, stop - start),
+    ):
         if first_line != current_line:
             if current_line >= 0:
                 line_delta[current_line] = (
@@ -945,69 +866,98 @@ def _stitch_shard(
             current_line = first_line
             current_delta = None
 
-        bytes_available = arrival_of(first_line)
-        for line in range(first_line + 1, last_lines[i] + 1):
-            arrival = arrival_of(line)
+        bytes_available = arrival_get(first_line)
+        if bytes_available is None:
+            bytes_available = _arrival_of(
+                first_line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+            )
+        for line in range(first_line + 1, last_line + 1):
+            arrival = arrival_get(line)
+            if arrival is None:
+                arrival = _arrival_of(
+                    line, line_arrival, line_consumed, prefetch_depth, fetch_latency
+                )
             if arrival > bytes_available:
                 bytes_available = arrival
-        out_avail.append(bytes_available)
+        avail_times.append(bytes_available)
 
-        length = lengths[i]
-        instruction_class = classes[i]
-        if decode_class[length] is instruction_class:
-            decode_lat = decode_lat_of[length]
-        else:
-            decode_lat = decode_overflow.get((length, instruction_class))
-            if decode_lat is None:
-                decode_lat = decode_latency_ps(length, instruction_class)
-                decode_overflow[(length, instruction_class)] = decode_lat
-            if decode_class[length] is None:
-                decode_class[length] = instruction_class
-                decode_lat_of[length] = decode_lat
         ready = bytes_available + decode_lat
-
-        tag_time = previous_tag_time + tag_table[previous_length]
+        tag_time = previous_tag_time + hop
         if tag_time < ready:
             tag_time = ready
-        out_tags.append(tag_time)
+        tag_times.append(tag_time)
 
         consumed = consumed_get(first_line)
         if consumed is None or consumed < tag_time:
             line_consumed[first_line] = tag_time
 
-        delta = tag_time - cold_tags[i - start]
+        delta = tag_time - cold_tag
         if current_delta is None:
             current_delta = delta
         elif current_delta != delta:
             current_delta = float("nan")
 
         previous_tag_time = tag_time
-        previous_length = length
         i += 1
-
+    out_avail[start:i] = avail_times
+    out_tags[start:i] = tag_times
+    _store_lines(consumed_by_line, line_consumed)
+    _store_lines(arrival_by_line, line_arrival)
     if adopt_from is None:
-        return previous_tag_time, previous_length
+        return previous_tag_time
 
-    # Locked: adopt the precomputed suffix at the constant offset.
+    # Locked: adopt the precomputed suffix at the constant offset.  Lines
+    # after the last replayed one take the cold consumption; arrivals
+    # already on record (warm) are kept.
     tail = adopt_from - start
-    if _np is not None:
-        out_avail.extend((_np.frombuffer(cold_avail)[tail:] + adopt_d).tolist())
-        out_tags.extend((_np.frombuffer(cold_tags)[tail:] + adopt_d).tolist())
-    else:
-        out_avail.extend(value + adopt_d for value in cold_avail[tail:])
-        out_tags.extend(value + adopt_d for value in cold_tags[tail:])
-    last_replayed = first_lines[adopt_from - 1]
-    for index in range(line_count):
-        line = base_line + index
-        if line > last_replayed:
-            cold_done = cold_consumed[index]
-            if cold_done == cold_done:
-                line_consumed[line] = cold_done + adopt_d
-        if line not in line_arrival:
-            cold_arr = cold_arrival[index]
-            if cold_arr == cold_arr:
-                line_arrival[line] = cold_arr + adopt_d
-    return cold_tags[-1] + adopt_d, lengths[stop - 1]
+    np.add(cold_avail[tail:], adopt_d, out=out_avail[adopt_from:stop])
+    np.add(cold_tags[tail:], adopt_d, out=out_tags[adopt_from:stop])
+    skip = int(prep.first_lines[adopt_from - 1]) + 1 - base_line
+    cold_tail = cold_consumed[skip:]
+    np.copyto(
+        consumed_by_line[base_line + skip : base_line + line_count],
+        cold_tail + adopt_d,
+        where=cold_tail == cold_tail,
+    )
+    warm = arrival_by_line[base_line : base_line + line_count]
+    np.copyto(
+        warm, cold_arrival + adopt_d, where=(warm != warm) & (cold_arrival == cold_arrival)
+    )
+    return float(cold_tags[-1]) + adopt_d
+
+
+def _stitch(
+    config, prep: _Prepared, spans: Sequence[tuple], results: Sequence[tuple]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the cold shard solutions into the true trajectory, in order.
+
+    Returns the stream's ``(avail, tags)`` arrays and the consumed times
+    of its lines.
+    """
+    count = len(prep.stream)
+    line_total = int(prep.last_lines.max()) + 1
+    window_lines = config.prefetch_depth + prep.span_max + 2
+    out_avail = np.empty(count)
+    out_tags = np.empty(count)
+    consumed_by_line = np.full(line_total, np.nan)
+    arrival_by_line = np.full(line_total, np.nan)
+    previous_tag_time = _NEG_INF
+    for (start, stop, base), cold in zip(spans, results):
+        previous_tag_time = _stitch_shard(
+            config,
+            prep,
+            start,
+            stop,
+            base,
+            cold,
+            window_lines,
+            consumed_by_line,
+            arrival_by_line,
+            previous_tag_time,
+            out_avail,
+            out_tags,
+        )
+    return out_avail, out_tags, consumed_by_line[consumed_by_line == consumed_by_line]
 
 
 def run_sharded(
@@ -1020,8 +970,8 @@ def run_sharded(
 ) -> Optional[dict]:
     """Exact sharded evaluation of a large stream (bit-identical to run).
 
-    Workers solve line-aligned shards from cold seams in parallel on
-    compact flat arrays; the parent replays a few lines per seam to lock
+    Workers solve line-aligned shards (slices of one stream) from cold
+    seams in parallel; the parent replays a few lines per seam to lock
     each shard onto the true warm trajectory and adopts the precomputed
     suffixes (see the module docstring).  Every measurement field equals
     :func:`run_batched`'s bit-for-bit, including ``energy_pj``.
@@ -1043,7 +993,7 @@ def run_sharded(
     from repro.engine import pool
 
     _validate_config(config)
-    if not instructions:
+    if not len(instructions):
         return None
     shards = max(1, shards)
     use_pool, _reason = pool.decide(
@@ -1058,35 +1008,29 @@ def run_sharded(
         pool.LAST_DECISION.update(use_pool=False, reason="stream-too-small")
         return run_batched(config, instructions, lines)
 
-    line_bytes = config.line_bytes
-    lengths, classes, start_bytes, first_lines = _stream_arrays(
-        instructions, line_bytes
-    )
-    last_lines = _last_lines(lengths, start_bytes, line_bytes)
-    boundaries = _shard_boundaries(first_lines, shards)
+    prep = _prepare(instructions, config.line_bytes)
+    stream = prep.stream
+    boundaries = _shard_boundaries(prep.first_lines, shards)
     if len(boundaries) <= 2:
         pool.LAST_DECISION.update(use_pool=False, reason="single-shard-boundary")
-        return run_batched(config, instructions, lines)
+        return run_batched(config, stream, lines)
 
     pairs = list(zip(boundaries, boundaries[1:]))
     # The first shard keeps absolute line indices: its cold seam *is* the
     # true stream start, so its solution is adopted wholesale (offset 0).
-    bases = [0] + [first_lines[start] for start, _stop in pairs[1:]]
-    payloads = [
-        _shard_payload(
-            config, lengths, classes, first_lines, last_lines, start, stop, base
-        )
-        for (start, stop), base in zip(pairs, bases)
+    spans = [(0, pairs[0][1], 0)] + [
+        (start, stop, int(prep.first_lines[start])) for start, stop in pairs[1:]
     ]
+    payloads = [_shard_payload(config, stream, span) for span in spans]
 
     results = None
     if use_pool:
         # Persistent process-global pool: created lazily on the first
         # sharded call, reused (warm workers) by every later one.  The
-        # shard arrays publish once through the shared-memory payload
-        # path; each worker call carries only (handle, shard index).
-        # Dispatch runs supervised (repro.engine.resilience): per-task
-        # deadlines, infrastructure-only retries with pool respawn, and
+        # stream publishes once through the shared-memory payload path;
+        # each worker call carries only (handle, shard index).  Dispatch
+        # runs supervised (repro.engine.resilience): per-task deadlines,
+        # infrastructure-only retries with pool respawn, and
         # partial-result salvage.  Application errors raised by worker
         # code propagate to the caller -- they are engine bugs, not a
         # reason to silently recompute in-process.
@@ -1100,7 +1044,7 @@ def run_sharded(
             pool.LAST_DECISION.update(use_pool=False, reason="pool-spawn-failed")
             executor = None
         if executor is not None:
-            ref = _publish_shard_set(config, payloads)
+            ref = _publish_shard_set(config, stream, spans)
             try:
                 if ref is not None:
                     items = [(ref, index) for index in range(len(payloads))]
@@ -1108,7 +1052,7 @@ def run_sharded(
                     transport = "shm"
                 else:
                     # Small stream or no shared memory: each worker call
-                    # carries its own shard's arrays (and nothing else).
+                    # carries its own shard's slice (and nothing else).
                     items = [(payload,) for payload in payloads]
                     worker_fn = _cold_shard
                     transport = "inline"
@@ -1136,74 +1080,17 @@ def run_sharded(
     if results is None:
         results = [_cold_shard(payload) for payload in payloads]
 
-    tag_table, steer_table = _latency_tables(lengths)
-    decode_caches = _decode_tables(len(tag_table))
-    if _np is not None:
-        span_max = int(
-            (_np.asarray(last_lines) - _np.asarray(first_lines)).max()
-        )
-    else:
-        span_max = max(l - f for l, f in zip(last_lines, first_lines))
-    window_lines = config.prefetch_depth + span_max + 2
-
-    out_avail: List[float] = []
-    out_tags: List[float] = []
-    line_consumed: Dict[int, float] = {}
-    line_arrival: Dict[int, float] = {}
-    previous_tag_time = _NEG_INF
-    previous_length = 0
-    for (start, stop), base, cold in zip(pairs, bases, results):
-        if start == 0:
-            cold_avail, cold_tags, cold_consumed, cold_arrival = cold
-            out_avail.extend(cold_avail)
-            out_tags.extend(cold_tags)
-            for index, done in enumerate(cold_consumed):
-                if done == done:
-                    line_consumed[index] = done
-            for index, arrival in enumerate(cold_arrival):
-                if arrival == arrival:
-                    line_arrival[index] = arrival
-            previous_tag_time = cold_tags[-1]
-            previous_length = lengths[stop - 1]
-            continue
-        previous_tag_time, previous_length = _stitch_shard(
-            config,
-            lengths,
-            classes,
-            first_lines,
-            last_lines,
-            tag_table,
-            decode_caches,
-            start,
-            stop,
-            base,
-            cold,
-            _offset_exact(cold),
-            window_lines,
-            span_max,
-            line_consumed,
-            line_arrival,
-            previous_tag_time,
-            previous_length,
-            out_avail,
-            out_tags,
-        )
-
-    issue_times, row_issues, _buffer_free, _next_row = _steer(
-        out_tags,
-        lengths,
-        steer_table,
-        config.rows,
-        config.output_buffer_cycle_ps,
+    out_avail, out_tags, consumed_values = _stitch(config, prep, spans, results)
+    issue_arr, _buffer_free, _next_row = _steer(
+        out_tags, prep.steer_ps, config.rows, config.output_buffer_cycle_ps
     )
     return _finalize(
         config,
-        lengths,
+        stream.lengths,
         out_avail,
         out_tags,
-        issue_times,
-        row_issues,
-        list(line_consumed.values()),
-        len(instructions),
+        issue_arr,
+        consumed_values,
+        len(stream),
         len(lines),
     )

@@ -13,7 +13,7 @@ the area cost of sixteen-fold speculation.
 """
 
 from repro.rappid.isa import InstructionClass, LENGTH_CLASSES, decode_latency_ps, tag_latency_ps
-from repro.rappid.workload import CacheLine, Instruction, WorkloadGenerator
+from repro.rappid.workload import CacheLine, Instruction, InstructionStream, WorkloadGenerator
 from repro.rappid.microarch import RappidConfig, RappidDecoder, RappidResult
 from repro.rappid.clocked_baseline import ClockedConfig, ClockedDecoder, ClockedResult
 from repro.rappid.metrics import Table1Comparison, compare_designs
@@ -25,6 +25,7 @@ __all__ = [
     "tag_latency_ps",
     "CacheLine",
     "Instruction",
+    "InstructionStream",
     "WorkloadGenerator",
     "RappidConfig",
     "RappidDecoder",

@@ -166,6 +166,11 @@ class RappidDecoder:
     def run(self, instructions: Sequence[Instruction], lines: Sequence[CacheLine]) -> RappidResult:
         """Simulate the decoding and steering of an instruction stream.
 
+        ``instructions`` is an :class:`~repro.rappid.workload.InstructionStream`
+        (what :class:`~repro.rappid.workload.WorkloadGenerator` returns) or
+        any sequence of :class:`~repro.rappid.workload.Instruction`, which
+        is converted to a stream once.
+
         Delegates to the batched engine runner
         (:func:`repro.engine.rappid_batch.run_batched`), which performs the
         same floating-point operations in the same order as the retained
@@ -193,7 +198,7 @@ class RappidDecoder:
         """Exact evaluation of a very large stream across worker processes.
 
         Line-aligned shards are solved in parallel from cold seam states
-        on compact flat arrays, then stitched onto the true warm
+        on slices of the stream's buffers, then stitched onto the true warm
         trajectory by an exact seam fix-up (see
         :mod:`repro.engine.rappid_batch`): every measurement field is
         **bit-identical** to :meth:`run`, including ``energy_pj`` (both

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.rappid.microarch import RappidConfig, RappidDecoder
-from repro.rappid.workload import WorkloadGenerator
+from repro.rappid.workload import CacheLine, InstructionStream, WorkloadGenerator
 
 NAME = "decode"
 
@@ -69,17 +69,17 @@ def cost(params: Dict[str, Any]) -> float:
 @lru_cache(maxsize=32)
 def _workload(
     seed: int, count: int, line_bytes: int
-) -> Tuple[tuple, tuple]:
+) -> Tuple[InstructionStream, Tuple[CacheLine, ...]]:
     """Deterministic (instructions, lines) for a request's workload knobs.
 
     Cached so coalesced batches repeating a workload (the load
-    generator's steady state) skip regeneration; tuples keep the cache
-    entries immutable.
+    generator's steady state) skip regeneration.  The stream is
+    immutable and the lines are a tuple, so every request decodes the
+    cached entry directly.
     """
     generator = WorkloadGenerator(seed=seed, line_bytes=line_bytes)
     instructions = generator.instructions(count)
-    lines = generator.cache_lines(instructions)
-    return tuple(instructions), tuple(lines)
+    return instructions, tuple(generator.cache_lines(instructions))
 
 
 def run(
@@ -103,8 +103,8 @@ def run(
     if shards > 1:
         # Exact sharded path: supervised pool dispatch inside.
         result = decoder.run_sharded(
-            list(instructions),
-            list(lines),
+            instructions,
+            lines,
             shards=shards,
             min_shard_instructions=int(
                 params.get("min_shard_instructions", 1_024)
@@ -112,7 +112,7 @@ def run(
             use_processes=use_processes,
         )
     else:
-        result = decoder.run(list(instructions), list(lines))
+        result = decoder.run(instructions, lines)
 
     chunk = int(params.get("stream_chunk", 0))
     if chunk > 0:
